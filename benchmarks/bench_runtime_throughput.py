@@ -48,8 +48,9 @@ physics — there is no second core to overlap on — so the report prints the
 detected core count next to the numbers.
 
 ``--json PATH`` additionally emits every row as machine-readable records
-(the repo keeps a committed snapshot in ``BENCH_runtime.json``; CI uploads
-a ``--quick`` run as a non-gating artifact to track the trajectory).
+(the repo keeps a committed snapshot in ``benchmarks/BENCH_runtime.json``;
+CI uploads a ``--quick`` run as a non-gating artifact to track the
+trajectory).
 
 Usage:  PYTHONPATH=src python benchmarks/bench_runtime_throughput.py
             [--quick] [--json PATH] [--overlap {on,off,both}]
@@ -314,7 +315,7 @@ def measure_partition_balance(quick: bool, method: str, rows: list) -> bool:
     the *measured* max/mean per-worker busy-time imbalance from the thread
     runtime's own accounting, and throughput.  Returns the verdict that
     ``auto`` reduced the measured imbalance (recorded in the JSON rows the
-    committed BENCH_runtime.json tracks).
+    committed benchmarks/BENCH_runtime.json tracks).
     """
     wide = 256 if quick else 768
     narrow = 32 if quick else 64
@@ -504,7 +505,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="write every measured row as JSON (machine-readable perf "
-        "trajectory; see BENCH_runtime.json)",
+        "trajectory; see benchmarks/BENCH_runtime.json)",
     )
     parser.add_argument(
         "--skip-translation", action="store_true",

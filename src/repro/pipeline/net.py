@@ -532,7 +532,11 @@ class RemoteWeightMirror:
 
     The seam is identical to :class:`SharedWeightMirror`'s worker side —
     ``weights``/``latest_version``/``wait_version``/``velocity`` — so
-    :class:`~repro.pipeline.plan.WorkerPlanMirror` runs unmodified.
+    :class:`~repro.pipeline.plan.WorkerPlanMirror` runs unmodified.  Unlike
+    the shared mirror it holds only this worker's slice: the stages in
+    ``stage_shapes`` (the worker's ``read_stages``), in ascending order,
+    which is exactly what every frame the driver sends it carries.  Asking
+    for any other stage raises :class:`KeyError`.
     A dedicated drainer thread folds frames into the window *eagerly*, in
     arrival order — the driver's ``sendall`` must never block on a worker
     that happens not to need a version right now, or a weight window
@@ -551,16 +555,19 @@ class RemoteWeightMirror:
     def __init__(
         self,
         conn: Transport,
-        stage_shapes: list[list[tuple[int, ...]]],
+        stage_shapes: dict[int, list[tuple[int, ...]]],
         history: int,
         with_velocity: bool,
+        worker: int,
     ):
         self._conn = conn
-        self._counts = [len(shapes) for shapes in stage_shapes]
+        self._counts = {s: len(stage_shapes[s]) for s in sorted(stage_shapes)}
+        self.stages = list(self._counts)
         self.history = history
         self.with_velocity = with_velocity
-        self._window: dict[int, list[list[np.ndarray]]] = {}
-        self._velocity: list[list[np.ndarray]] | None = None
+        self.worker = worker
+        self._window: dict[int, dict[int, list[np.ndarray]]] = {}
+        self._velocity: dict[int, list[np.ndarray]] | None = None
         self._latest = -1
         self._cond = threading.Condition()
         self._resets = 0  # RESET frames folded so far
@@ -607,21 +614,29 @@ class RemoteWeightMirror:
     def latest_version(self) -> int:
         return self._latest
 
-    def _regroup(self, flat) -> list[list[np.ndarray]]:
+    def _regroup(self, flat) -> dict[int, list[np.ndarray]]:
         arrays = list(flat) if isinstance(flat, tuple) else [flat]
-        if len(arrays) != sum(self._counts):
+        if len(arrays) != sum(self._counts.values()):
             raise FrameError(
                 f"weight frame carried {len(arrays)} arrays, expected "
-                f"{sum(self._counts)}"
+                f"{sum(self._counts.values())} for worker {self.worker}'s stages "
+                f"{self.stages}"
             )
-        stages, pos = [], 0
-        for count in self._counts:
+        stages, pos = {}, 0
+        for stage, count in self._counts.items():
             group = arrays[pos:pos + count]
             for arr in group:
                 arr.setflags(write=False)  # workers must never write weights
-            stages.append(group)
+            stages[stage] = group
             pos += count
         return stages
+
+    def _check_held(self, stage: int) -> None:
+        if stage not in self._counts:
+            raise KeyError(
+                f"worker {self.worker} does not hold stage {stage}: its "
+                f"weight mirror carries only stages {self.stages}"
+            )
 
     def _apply(self, kind: int, body) -> bool:
         """Fold one weight-socket frame into the window; True for RESET."""
@@ -675,6 +690,7 @@ class RemoteWeightMirror:
             self._resets_consumed += 1
 
     def weights(self, stage: int, version: int) -> list[np.ndarray]:
+        self._check_held(stage)
         with self._cond:
             check_version_resident(
                 version, self._latest, self.history, "remote mirror"
@@ -682,6 +698,7 @@ class RemoteWeightMirror:
             return self._window[version][stage]
 
     def velocity(self, stage: int) -> list[np.ndarray]:
+        self._check_held(stage)
         if not self.with_velocity:
             raise RuntimeError("mirror was built without velocity buffers")
         if self._velocity is None:
@@ -783,9 +800,15 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
                     f"{graph.edge_spec()!r} vs {init['edges']!r})"
                 )
             compute = graph.workers[w]
+            if sorted(init["stage_shapes"]) != compute.read_stages:
+                raise ValueError(
+                    f"worker {w}: the driver publishes stages "
+                    f"{sorted(init['stage_shapes'])} but this slice reads "
+                    f"stages {compute.read_stages}"
+                )
             compute.enable_deferred()
             mirror = RemoteWeightMirror(
-                wconn, init["stage_shapes"], spec.history, spec.use_t2
+                wconn, init["stage_shapes"], spec.history, spec.use_t2, w
             )
             resolver = WorkerPlanMirror(spec, mirror)
             is_sink_worker = w == k - 1
@@ -1114,6 +1137,10 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         self._procs: list = []
         self._ext_needs = [graph.ext_needs(w) for w in range(graph.num_workers)]
         self._stage_shapes = [[tuple(p.shape) for p in s.params] for s in stages]
+        # Each worker's weight slice: the stages it reads (owned bindings
+        # plus borrowed tied-weight stages).  Its mirror holds only these,
+        # and every weight/velocity frame it is sent carries only these.
+        self._read_stages = [compute.read_stages for compute in graph.workers]
         self._edges = graph.edge_spec()
         # Channels exist only for cross-worker edges (local and external
         # edges never touch a transport), same set _worker_rings covers.
@@ -1208,7 +1235,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 init = {
                     "k": k,
                     "num_microbatches": self._num_microbatches,
-                    "stage_shapes": self._stage_shapes,
+                    "stage_shapes": self._slice_shapes(w),
                     "stage_names": [list(s.names) for s in self.stages],
                     "edges": self._edges,
                     "resolver_spec": self.plan.resolver_spec(),
@@ -1429,17 +1456,13 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         # Velocity first, version last: in-order frame delivery makes the
         # version frame the release operation, same as the shared mirror's
         # header bump.
-        if self.plan.corrector is not None:
-            self._broadcast_weights(
-                K_VELOCITY, encode_arrays(_flatten(self.plan.corrector.velocity), -1)
-            )
-        store = self.plan.store
+        plan = self.plan
+        if plan.corrector is not None:
+            self._send_slices(K_VELOCITY, plan.corrector.velocity, -1)
+        store = plan.store
         v = store.latest_version
-        self._broadcast_weights(
-            K_WEIGHTS,
-            encode_arrays(
-                _flatten([store.weights(s, v) for s in range(store.num_stages)]), v
-            ),
+        self._send_slices(
+            K_WEIGHTS, [store.weights(s, v) for s in range(store.num_stages)], v
         )
 
     def full_resync(self) -> None:
@@ -1448,7 +1471,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         channel (FIFO with the next step command) so a stale higher
         ``latest`` can never satisfy a gate against the restored
         timeline."""
-        self._broadcast_weights(K_RESET, b"")
+        self._send_weights(K_RESET, lambda w: b"")
         self._publish_window()
         v = self.plan.store.latest_version
         for w, (conn, compute) in enumerate(zip(self._ctls, self.driver_workers)):
@@ -1471,29 +1494,40 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         fresh mirror starts empty while survivors keep their windows."""
         plan = self.plan
         if plan.corrector is not None:
-            self._broadcast_weights(
-                K_VELOCITY,
-                encode_arrays(_flatten(plan.corrector.velocity), -1),
-                workers=workers,
-            )
+            self._send_slices(K_VELOCITY, plan.corrector.velocity, -1, workers)
         store = plan.store
         resident = set(store.resident_versions(0))
         for v in sorted(set(plan.resolvable_versions()) & resident):
-            self._broadcast_weights(
+            self._send_slices(
                 K_WEIGHTS,
-                encode_arrays(
-                    _flatten([store.weights(s, v) for s in range(store.num_stages)]),
-                    v,
-                ),
-                workers=workers,
+                [store.weights(s, v) for s in range(store.num_stages)],
+                v,
+                workers,
             )
 
-    def _broadcast_weights(self, kind: int, body: bytes, workers=None) -> None:
+    def _slice_shapes(self, w: int) -> dict[int, list[tuple[int, ...]]]:
+        return {s: self._stage_shapes[s] for s in self._read_stages[w]}
+
+    def _send_slices(self, kind: int, per_stage, version: int, workers=None) -> None:
+        """One ``kind`` frame per worker carrying ``per_stage[s]`` for just
+        the stages ``s`` that worker reads, flattened in ascending stage
+        order (the remote mirror regroups by the shapes shipped in init).
+        A stage read by two workers (a sublayer split) goes to both."""
+        self._send_weights(
+            kind,
+            lambda w: encode_arrays(
+                tuple(a for s in self._read_stages[w] for a in per_stage[s]),
+                version,
+            ),
+            workers,
+        )
+
+    def _send_weights(self, kind: int, body_of, workers=None) -> None:
         for w, conn in enumerate(self._weight_conns):
             if conn is None or (workers is not None and w not in workers):
                 continue
             try:
-                conn.send_frame(kind, body, self._send_timeout)
+                conn.send_frame(kind, body_of(w), self._send_timeout)
             except TransportError as exc:
                 self.registry.mark_lost(w, f"unreachable at publish ({exc})")
                 self.wedged = True
@@ -1674,7 +1708,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         init = {
             "k": k,
             "num_microbatches": self._num_microbatches,
-            "stage_shapes": self._stage_shapes,
+            "stage_shapes": self._slice_shapes(w),
             "stage_names": [list(s.names) for s in self.stages],
             "edges": self._edges,
             "resolver_spec": self.plan.resolver_spec(),
@@ -1882,8 +1916,3 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 pass
             self._dir = None
 
-
-def _flatten(per_stage) -> tuple:
-    """Per-stage array lists as the flat tuple a weight frame carries (the
-    remote mirror regroups by the stage shape counts shipped in init)."""
-    return tuple(arr for stage in per_stage for arr in stage)

@@ -30,7 +30,9 @@ def _bounds(values: Iterable[float]) -> tuple[float, float]:
     vals = list(values)
     lo, hi = min(vals), max(vals)
     if lo == hi:  # a flat line still needs a non-degenerate scale
-        pad = 0.5 if lo == 0 else abs(lo) * 0.5
+        # Half the magnitude, or 0.5 where that is zero: at 0, and for a
+        # subnormal whose half underflows (5e-324 * 0.5 == 0.0).
+        pad = abs(lo) * 0.5 or 0.5
         lo, hi = lo - pad, hi + pad
     return lo, hi
 

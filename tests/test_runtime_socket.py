@@ -11,10 +11,13 @@ the control channel.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
 from repro.core import PipeMareConfig
+from repro.experiments.workloads import make_translation_workload
 from repro.models import MLP
 from repro.models.resnet import resnet_tiny
 from repro.nn import CrossEntropyLoss
@@ -27,6 +30,14 @@ from repro.pipeline import (
     partition_model,
 )
 from repro.pipeline.executor import param_groups_from_stages
+from repro.pipeline.net import (
+    K_VELOCITY,
+    K_WEIGHTS,
+    RemoteWeightMirror,
+    Transport,
+    decode_arrays,
+    encode_arrays,
+)
 
 pytestmark = pytest.mark.net
 
@@ -287,3 +298,86 @@ class TestRuntimeContract:
         rt.close()  # idempotent
         with pytest.raises(RuntimeError):
             rt.train_step(x[:16], y[:16])
+
+
+class TestPerWorkerWeightSlices:
+    """Each socket worker is sent, and holds, only the stages it reads —
+    the spatial partitioning that keeps publish traffic per worker."""
+
+    def test_unheld_stage_raises_naming_worker_and_stage(self):
+        a, b = socket.socketpair()
+        driver = Transport(a)
+        mirror = RemoteWeightMirror(
+            Transport(b), {1: [(2,)], 3: [(2, 2)]}, history=2,
+            with_velocity=True, worker=4,
+        )
+        try:
+            w1, w3 = np.arange(2.0), np.ones((2, 2))
+            driver.send_frame(K_VELOCITY, encode_arrays((w1 / 2, w3 / 2), -1))
+            driver.send_frame(K_WEIGHTS, encode_arrays((w1, w3), 0))
+            mirror.wait_version(0, TIMEOUT)
+            assert mirror.stages == [1, 3]
+            np.testing.assert_array_equal(mirror.weights(3, 0)[0], w3)
+            np.testing.assert_array_equal(mirror.velocity(1)[0], w1 / 2)
+            with pytest.raises(KeyError, match=r"worker 4 does not hold stage 0\b"):
+                mirror.weights(0, 0)
+            with pytest.raises(KeyError, match=r"worker 4 does not hold stage 2\b"):
+                mirror.velocity(2)
+        finally:
+            mirror.close()
+            driver.close()
+
+    @pytest.mark.timeout(180)
+    def test_translation_publish_sends_each_worker_its_slice(self):
+        wl = make_translation_workload(
+            "iwslt", batches_per_epoch=4, batch_size=16, num_microbatches=4,
+            eval_size=8,
+        )
+        bundle = wl.bundle(
+            method="pipemare", seed=0, runtime="socket",
+            pipemare=PipeMareConfig.t1_t2(anneal_steps=50, decay=0.5),
+        )
+        rt = bundle.executor
+        try:
+            pool = rt.pool
+            owned = [compute.stages for compute in pool.graph.workers]
+            assert len(pool.stages) == 12 and len(owned) == 5
+            assert 2 in owned[0] and 2 in owned[1]  # a sublayer-split stage
+            assert pool._read_stages == owned  # no borrowed stages on iwslt
+            # What init ships each worker — the shapes its mirror is built
+            # from (the worker refuses init unless they match its slice).
+            assert [sorted(pool._slice_shapes(w)) for w in range(5)] == owned
+            stage_bytes = [sum(p.data.nbytes for p in s.params) for s in pool.stages]
+            shapes = [
+                [tuple(p.shape) for s in stages for p in pool.stages[s].params]
+                for stages in owned
+            ]
+
+            sent = []  # (worker, kind, decoded arrays)
+            for w, conn in enumerate(pool._weight_conns):
+                def send_frame(kind, body, timeout=None, _w=w, _send=conn.send_frame):
+                    sent.append((_w, kind, decode_arrays(body)[1]))
+                    _send(kind, body, timeout)
+                conn.send_frame = send_frame
+
+            pool.publish_plan_state()
+            for kind in (K_VELOCITY, K_WEIGHTS):
+                frames = [(w, arrays) for w, k, arrays in sent if k == kind]
+                assert [w for w, _ in frames] == list(range(5))
+                for w, arrays in frames:
+                    assert [a.shape for a in arrays] == shapes[w]
+                assert sum(a.nbytes for _, arrays in frames for a in arrays) == sum(
+                    stage_bytes[s] for stages in owned for s in stages
+                )
+
+            # A per-worker replacement's fresh mirror is sent its slice alone.
+            sent.clear()
+            pool._publish_window(workers=[3])
+            assert {w for w, _, _ in sent} == {3}
+            assert all([a.shape for a in arrays] == shapes[3] for _, _, arrays in sent)
+
+            batch = wl.task.sample_batch(16)
+            rt.train_step((batch.src, batch.tgt_in), batch.tgt_out)
+            rt.sync()
+        finally:
+            rt.close()

@@ -143,6 +143,35 @@ class TestProcessDifferentialGrid:
         assert_equivalent(wl, "process", method="pipemare")
 
 
+@pytest.mark.net
+class TestSocketDifferentialGrid:
+    """Every payload and every per-worker weight slice over real sockets."""
+
+    @pytest.mark.timeout(90)
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("method", ["gpipe", "pipedream", "pipemare"])
+    def test_methods_match_bitwise(self, iwslt, method, overlap):
+        assert_equivalent(iwslt, "socket", method=method, overlap_boundary=overlap)
+
+    @pytest.mark.timeout(90)
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("technique", sorted(TECHNIQUES))
+    def test_pipemare_techniques_match_bitwise(self, iwslt, technique, overlap):
+        assert_equivalent(
+            iwslt, "socket", method="pipemare", overlap_boundary=overlap,
+            **TECHNIQUES[technique],
+        )
+
+    @pytest.mark.timeout(90)
+    def test_shared_embeddings_match_bitwise(self, wmt):
+        """The projection worker borrows the embedding stage: its weight
+        slice must carry that stage too, though it binds none of it."""
+        assert_equivalent(
+            wmt, "socket", method="pipemare",
+            pipemare=PipeMareConfig.t1_t2(anneal_steps=50, decay=0.5),
+        )
+
+
 class TestTrainerIntegration:
     @pytest.mark.timeout(120)
     def test_workload_run_on_async_runtime(self, iwslt):
