@@ -65,7 +65,7 @@ from repro.pipeline.registry import (
     WorkerLostError,
     WorkerRegistry,
 )
-from repro.pipeline.stage_compute import ModelSpec, build_worker_graph
+from repro.pipeline.stage_compute import ModelSpec
 from repro.pipeline.transport import (
     _DTYPE_CODE,
     _MAX_DIMS,
@@ -74,10 +74,9 @@ from repro.pipeline.transport import (
     TransportError,
     TransportTimeout,
     _layout_perm,
-    pack_lanes,
-    unpack_lanes,
 )
 from repro.pipeline.weight_store import check_version_resident
+from repro.pipeline.worker import Report, WorkerKernel, _picklable_exc
 
 
 class FrameError(TransportError):
@@ -715,41 +714,30 @@ class RemoteWeightMirror:
 # -- worker process ------------------------------------------------------------
 
 
-def _channel_keys(edges, w: int):
-    """Which (kind, edge) channels worker ``w`` listens on vs dials, from
-    the worker graph's picklable edge spec ``(index, src_worker,
-    dst_worker)``.  The *receiver* of a channel owns its listener:
-    activations/recomputes flow src→dst, gradients dst→src — the socket
-    projection of ``_worker_rings``'s role assignment."""
-    listen, dial = [], []
-    for index, src_w, dst_w in edges:
-        if dst_w == w:
-            listen += [("act", index), ("rec", index)]
-            dial += [("grad", index)]
-        elif src_w == w:
-            dial += [("act", index), ("rec", index)]
-            listen += [("grad", index)]
-    return listen, dial
+def _report_grads(compute, seq: int) -> list:
+    """Socket gradient return (no shared mailbox over a socket): the
+    accumulated gradients ride the done report as per-binding ``(stage,
+    positions, arrays)``, disjoint across workers."""
+    return [
+        (b.stage, list(b.positions), [p.grad for p in b.params])
+        for b in compute.bindings
+    ]
 
 
 def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
     """Entry point of one socket stage worker.
 
     Only the bootstrap address crosses the process boundary; everything
-    else — the model spec (as wire bytes), resolver spec, channel
+    else — the model spec, resolver spec, channel
     topology, initial persistent state — arrives over the control socket,
     so the same entry point would serve a worker started on another host
     by any launcher.  Phases: dial the driver (control + weight
-    connections), receive init, build the model slice, bind channel
-    listeners, report them, receive the full address map, dial send-side
-    channels then accept recv-side ones, report ready, serve step
-    commands until shutdown or EOF.
+    connections), receive init, build the
+    :class:`~repro.pipeline.worker.WorkerKernel`, bind channel listeners,
+    report them, receive the full address map, dial send-side channels
+    then accept recv-side ones, report ready, then serve step commands and
+    control messages until shutdown or EOF.
     """
-    rt = _runtime
-    from repro.nn import arena as nn_arena
-    from repro.pipeline.delays import Method
-    from repro.pipeline.plan import WorkerPlanMirror
-
     handshake = opts["handshake_timeout"]
     timeout = opts["deadlock_timeout"]
     # Jitter desynchronizes the retry schedules of workers (re)connecting
@@ -771,88 +759,56 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
     mirror = None
     listeners: dict[tuple[str, int], Listener] = {}
 
-    def report(seq, kind, busy=0.0, xfer=0.0, stall=0.0, payload=None):
-        ctl.send_obj(("done", (w, seq, kind, busy, xfer, stall, payload)), timeout)
+    def report(r: Report) -> None:
+        ctl.send_obj(("done", r), timeout)
+
+    def mesh(dial, addresses) -> dict[tuple[str, int], Transport]:
+        # Dial first, accept second: every listener reported bound before
+        # the address broadcast, so dials complete against the backlog
+        # without waiting for the peer's accept — no ordering deadlock
+        # however the mesh is shaped.
+        conns = {
+            key: connect(addresses[key], opts["connect_timeout"], backoff)
+            for key in dial
+        }
+        for key, listener in listeners.items():
+            conns[key] = listener.accept(handshake)
+            listener.close()
+        listeners.clear()
+        return conns
+
+    def bind(prefix: str, listen: dict) -> dict:
+        # Bind this worker's listeners, report them, and receive the merged
+        # address map of every listener involved.
+        for key, address in listen.items():
+            listeners[key] = Listener(address, backlog=2)
+        ctl.send_obj(
+            (f"{prefix}bound", w, {key: l.address for key, l in listeners.items()}),
+            timeout,
+        )
+        tag, addresses = ctl.recv_obj(handshake)
+        if tag != f"{prefix}addresses":
+            raise FrameError(f"expected {prefix}addresses, got {tag!r}")
+        return addresses
 
     try:
         try:
             tag, init = ctl.recv_obj(handshake)
             if tag != "init":
                 raise FrameError(f"expected init, got {tag!r}")
-            k = init["k"]
-            n = init["num_microbatches"]
             spec = init["resolver_spec"]
-            model, stages = ModelSpec.from_wire(init["model_wire"]).build()
-            names = [list(s.names) for s in stages]
-            if names != init["stage_names"]:
-                raise ValueError(
-                    f"worker {w}: model spec rebuilt a different partition "
-                    f"than the driver's (stage parameter names differ)"
-                )
-            graph = build_worker_graph(
-                model, stages,
-                granularity=init["granularity"], max_workers=init["max_workers"],
-            )
-            if graph.num_workers != k or graph.edge_spec() != init["edges"]:
-                raise ValueError(
-                    f"worker {w}: model spec rebuilt a different worker graph "
-                    f"than the driver's ({graph.num_workers} workers, edges "
-                    f"{graph.edge_spec()!r} vs {init['edges']!r})"
-                )
-            compute = graph.workers[w]
-            if sorted(init["stage_shapes"]) != compute.read_stages:
-                raise ValueError(
-                    f"worker {w}: the driver publishes stages "
-                    f"{sorted(init['stage_shapes'])} but this slice reads "
-                    f"stages {compute.read_stages}"
-                )
-            compute.enable_deferred()
             mirror = RemoteWeightMirror(
                 wconn, init["stage_shapes"], spec.history, spec.use_t2, w
             )
-            resolver = WorkerPlanMirror(spec, mirror)
-            is_sink_worker = w == k - 1
-            loss_fn = pickle.loads(init["loss_pickle"]) if is_sink_worker else None
-            for key, address in init["listen"].items():
-                listeners[key] = Listener(address, backlog=2)
-        except BaseException as exc:  # noqa: BLE001 — reported to driver
-            report(0, "init_error", payload=rt._picklable_exc(exc))
-            return
-        ctl.send_obj(
-            ("bound", w, {key: l.address for key, l in listeners.items()}), timeout
-        )
-        try:
-            tag, addresses = ctl.recv_obj(handshake)
-            if tag != "addresses":
-                raise FrameError(f"expected addresses, got {tag!r}")
-            conns: dict[tuple[str, int], Transport] = {}
-            # Dial first, accept second: every peer listener reported bound
-            # before the address broadcast, so dials complete against the
-            # backlog without waiting for the peer's accept — no ordering
-            # deadlock however the mesh is shaped.
-            for key in init["dial"]:
-                conns[key] = connect(addresses[key], opts["connect_timeout"], backoff)
-            for key, listener in listeners.items():
-                conns[key] = listener.accept(handshake)
-                listener.close()
-            listeners.clear()
-            chans = rt._wrap_channels(_SocketChannels(conns, timeout), w)
-            # Compiled locally from the resolver mirror — identical
-            # arithmetic and deterministic graph ⇒ identical fused blocks
-            # to every other backend's, and no compiled program on the wire.
-            programs = rt._build_wave_programs(
-                Method(spec.method), resolver, graph, n,
-                spec.recompute_segment is not None, init["fuse_waves"],
+            kernel = WorkerKernel.from_init(w, init, mirror, grad_sink=_report_grads)
+            addresses = bind("", init["listen"])
+            chans = _runtime._wrap_channels(
+                _SocketChannels(mesh(init["dial"], addresses), timeout), w
             )
-            has_pstate = compute.has_persistent_state()
-            if init["pstate"] is not None:
-                compute.load_persistent_state(init["pstate"])
-            arena_obj = nn_arena.Arena()
-            nn_arena.set_current(arena_obj)
         except BaseException as exc:  # noqa: BLE001 — reported to driver
-            report(0, "init_error", payload=rt._picklable_exc(exc))
+            report(Report(w, 0, "init_error", payload=_picklable_exc(exc)))
             return
-        report(0, "ready")
+        report(Report(w, 0, "ready"))
 
         stop_beats = threading.Event()
 
@@ -875,7 +831,7 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
             if msg[0] == "shutdown":
                 break
             if msg[0] == "pstate":
-                compute.load_persistent_state(msg[1])
+                kernel.compute.load_persistent_state(msg[1])
                 continue
             if msg[0] == "resync":
                 # Checkpoint restore: fence on the republished window so a
@@ -902,93 +858,22 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
                 # neighbors — survives untouched.  Failure is fatal for
                 # this worker; the driver falls back to a generation
                 # respawn.
-                spec = msg[1]
-                new_listeners: dict[tuple[str, int], Listener] = {}
+                rewire = msg[1]
                 try:
-                    for key in spec["close"]:
+                    for key in rewire["close"]:
                         chans.drop(key)
-                    for key, address in spec["listen"].items():
-                        new_listeners[key] = Listener(address, backlog=2)
-                    ctl.send_obj(
-                        (
-                            "rewire_bound",
-                            w,
-                            {key: l.address for key, l in new_listeners.items()},
-                        ),
-                        timeout,
-                    )
-                    tag, addresses = ctl.recv_obj(handshake)
-                    if tag != "rewire_addresses":
-                        raise FrameError(
-                            f"expected rewire_addresses, got {tag!r}"
-                        )
-                    for key in spec["dial"]:
-                        chans.adopt(
-                            key,
-                            connect(
-                                addresses[key], opts["connect_timeout"], backoff
-                            ),
-                        )
-                    for key, listener in new_listeners.items():
-                        chans.adopt(key, listener.accept(handshake))
+                    addresses = bind("rewire_", rewire["listen"])
+                    for key, conn in mesh(rewire["dial"], addresses).items():
+                        chans.adopt(key, conn)
                 except BaseException as exc:  # noqa: BLE001 — reported
                     try:
-                        report(0, "init_error", payload=rt._picklable_exc(exc))
+                        report(Report(w, 0, "init_error", payload=_picklable_exc(exc)))
                     except TransportError:
                         pass
                     break
-                finally:
-                    for listener in new_listeners.values():
-                        listener.close()
                 continue
-            step_seq, t, sync, scales, ext, ys = msg[1]
-            resolver.t = t
-            chans.step = step_seq
-            losses = [0.0] * n
-            busy = stall = 0.0
-            kind, payload = "ok", None
-            xfer0 = chans.xfer_seconds()
-            arena_obj.begin_program(step_seq)
-            if is_sink_worker:
-                def on_losses(_seq=step_seq, _losses=losses):
-                    report(_seq, "losses", payload=list(_losses))
-            else:
-                on_losses = None
             try:
-                for b in compute.bindings:
-                    for p in b.params:
-                        p.grad.fill(0.0)
-                compute.zero_deferred()
-                busy, stall, lanes = rt._execute_program(
-                    compute, programs[bool(sync)][w], resolver, t, sync, chans,
-                    loss_fn, ext, ys, scales, losses, timeout, on_losses,
-                )
-                # Gradients ride the done report (no shared mailbox over a
-                # socket): per-binding (stage, positions, arrays), disjoint
-                # across workers, folded driver-side in worker order.  One
-                # done frame per step carries the whole block's lanes — the
-                # coarsened report; frames-per-step on the wire is
-                # unchanged by block count.
-                grads = [
-                    (b.stage, list(b.positions), [p.grad for p in b.params])
-                    for b in compute.bindings
-                ]
-                payload = (
-                    losses if is_sink_worker else None,
-                    compute.persistent_state() if has_pstate else None,
-                    grads,
-                    pack_lanes(lanes),
-                )
-            except TransportTimeout as exc:
-                kind, payload = "deadlock", str(exc)
-            except BaseException as exc:  # noqa: BLE001 — relayed to driver
-                kind, payload = "error", rt._picklable_exc(exc)
-            finally:
-                chans.release_all()
-            try:
-                report(
-                    step_seq, kind, busy, chans.xfer_seconds() - xfer0, stall, payload
-                )
+                report(kernel.run_step(msg[1], chans, report))
             except TransportError:
                 break  # driver is gone mid-report
         stop_beats.set()
@@ -1042,7 +927,6 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         stages,
         loss_fn,
         model_spec: ModelSpec,
-        num_microbatches: int,
         deadlock_timeout: float,
         done_grace: float,
         granularity: str = "layer",
@@ -1058,7 +942,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         max_worker_restarts: int = 0,
         fuse_waves: bool = True,
     ):
-        super().__init__(graph.num_workers, deadlock_timeout, done_grace)
+        super().__init__(graph, plan, deadlock_timeout, done_grace, fuse_waves)
         if family not in ("uds", "tcp"):
             raise ValueError(f"family must be 'uds' or 'tcp', got {family!r}")
         # Fail loudly on a misconfigured net_options dict: a negative
@@ -1089,16 +973,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 raise ValueError(
                     f"net_options[{key!r}] must be >= 0, got {value!r}"
                 )
-        self.graph = graph
-        self.driver_workers = graph.workers
-        self.plan = plan
-        self.stages = stages
-        self._loss_pickle = pickle.dumps(loss_fn)
-        self._model_wire = model_spec.to_wire()
-        self._num_microbatches = num_microbatches
-        self._granularity = granularity
-        self._max_workers = max_workers
-        self.fuse_waves = fuse_waves
+        self._init_spawned(stages, loss_fn, model_spec, granularity, max_workers)
         self._start_method = start_method
         self._family = family
         self._host = host
@@ -1132,18 +1007,16 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         self._done: queue.SimpleQueue = queue.SimpleQueue()
         self._dir = tempfile.mkdtemp(prefix="pmnet-") if family == "uds" else None
         self.registry = WorkerRegistry(graph.num_workers, self._heartbeat_timeout)
-        self._ctls: list[Transport] = []
-        self._weight_conns: list[Transport] = []
+        self._ctls: list[Transport | None] = []
+        self._weight_conns: list[Transport | None] = []
         self._procs: list = []
-        self._ext_needs = [graph.ext_needs(w) for w in range(graph.num_workers)]
         self._stage_shapes = [[tuple(p.shape) for p in s.params] for s in stages]
         # Each worker's weight slice: the stages it reads (owned bindings
         # plus borrowed tied-weight stages).  Its mirror holds only these,
         # and every weight/velocity frame it is sent carries only these.
         self._read_stages = [compute.read_stages for compute in graph.workers]
-        self._edges = graph.edge_spec()
         # Channels exist only for cross-worker edges (local and external
-        # edges never touch a transport), same set _worker_rings covers.
+        # edges never touch a transport).
         self._cross = [
             (e.index, e.src_worker, e.dst.worker) for e in graph.cross_edges()
         ]
@@ -1153,9 +1026,6 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             self.close()
             raise
 
-    def _get_done(self, timeout: float):
-        return self._done.get(timeout=timeout)
-
     # -- topology --------------------------------------------------------------
     def _address(self, name: str) -> str:
         if self._family == "uds":
@@ -1164,16 +1034,37 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
 
     def _spawn_workers(self) -> None:
         """Launch and handshake a complete worker set (initial bring-up and
-        every respawn): accept control + weight connections, ship init
-        (model spec over the wire), gather bound channel listeners,
+        every respawn): dial-back and init, gather bound channel listeners,
         broadcast the address map, await ready, publish the resolvable
         weight window."""
         k = self.num_workers
-        gen = self._generation
+        gen = str(self._generation)
         self._generation += 1
         self.registry = WorkerRegistry(k, self._heartbeat_timeout)
-        registry = self.registry
-        listener = Listener(self._address(f"ctl{gen}"), backlog=2 * k)
+        # Visible to _teardown_workers from the first accept: if the
+        # handshake dies partway (worker death, timeout, garbage), close()
+        # must reach the connections already accepted, not just a
+        # fully-assembled set.
+        self._ctls = [None] * k
+        self._weight_conns = [None] * k
+        self._procs = [None] * k
+        self._dial_back(range(k), gen)
+        addresses: dict[tuple[str, int], str] = {}
+        for w in range(k):
+            addresses.update(self._recv_bound(w, self._handshake_timeout))
+        for w in range(k):
+            self._ctls[w].send_obj(("addresses", addresses), self._handshake_timeout)
+            self._start_reader(w, gen)
+        self._await_ready(range(k), self._handshake_timeout)
+        for w in range(k):
+            self.registry.transition(w, TaskState.READY)
+        self._publish_window()
+
+    def _dial_back(self, workers, tag: str) -> None:
+        """Start a worker process in each slot of ``workers``, accept its
+        control and weight connections on a fresh bootstrap listener, and
+        send it its init with channel listener addresses named by ``tag``.
+        Shared by bring-up and per-worker replacement."""
         opts = {
             "connect_timeout": self._connect_timeout,
             "handshake_timeout": self._handshake_timeout,
@@ -1183,34 +1074,28 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         ctx = multiprocessing.get_context(
             self._start_method or _runtime._default_start_method()
         )
+        listener = Listener(self._address(f"ctl{tag}"), backlog=2 * len(workers))
         try:
-            for w in range(k):
+            for w in workers:
                 proc = ctx.Process(
                     target=_socket_worker_main,
                     args=(w, listener.address, opts),
-                    name=f"pipe-sock-{gen}-{w}",
+                    name=f"pipe-sock-{tag}-{w}",
                     daemon=True,
                 )
                 proc.start()
-                self._procs.append(proc)
-            ctls: list[Transport | None] = [None] * k
-            wconns: list[Transport | None] = [None] * k
-            # Visible to _teardown_workers from the first accept: if the
-            # handshake dies partway (worker death, timeout, garbage),
-            # close() must reach the connections already accepted, not
-            # just a fully-assembled set.
-            self._ctls = ctls
-            self._weight_conns = wconns
+                self._procs[w] = proc
             deadline = time.monotonic() + self._handshake_timeout
-            pending = 2 * k
+            pending = 2 * len(workers)
             while pending:
                 try:
                     conn = listener.accept(0.2)
                 except TransportTimeout:
-                    dead = self._proc_failure()
+                    dead = self._peer_failure()
                     if dead is not None:
                         raise WorkerLostError(
-                            f"socket worker failed to start: {dead}"
+                            f"socket worker failed to start: {dead}",
+                            worker=self._lost_worker,
                         ) from None
                     if time.monotonic() > deadline:
                         raise TransportTimeout(
@@ -1219,64 +1104,44 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                         ) from None
                     continue
                 try:
-                    tag, w = conn.recv_obj(self._handshake_timeout)
-                    if tag == "hello":
-                        ctls[w] = conn
-                    elif tag == "weights":
-                        wconns[w] = conn
-                    else:
-                        raise FrameError(f"unexpected handshake frame {tag!r}")
+                    kind, w = conn.recv_obj(self._handshake_timeout)
+                    slots = {"hello": self._ctls, "weights": self._weight_conns}.get(kind)
+                    if slots is None or w not in workers or slots[w] is not None:
+                        raise FrameError(f"unexpected handshake frame {(kind, w)!r}")
+                    slots[w] = conn
                 except BaseException:
                     conn.close()  # not in any slot yet; nobody else can
                     raise
                 pending -= 1
-            for w in range(k):
-                listen, dial = _channel_keys(self._cross, w)
-                init = {
-                    "k": k,
-                    "num_microbatches": self._num_microbatches,
-                    "stage_shapes": self._slice_shapes(w),
-                    "stage_names": [list(s.names) for s in self.stages],
-                    "edges": self._edges,
-                    "resolver_spec": self.plan.resolver_spec(),
-                    "model_wire": self._model_wire,
-                    "granularity": self._granularity,
-                    "max_workers": self._max_workers,
-                    "fuse_waves": self.fuse_waves,
-                    "loss_pickle": self._loss_pickle if w == k - 1 else b"",
-                    "listen": {
-                        key: self._address(f"c{gen}_{key[0]}{key[1]}")
-                        for key in listen
-                    },
-                    "dial": dial,
-                    "pstate": (
-                        self.driver_workers[w].persistent_state()
-                        if self.driver_workers[w].has_persistent_state()
-                        else None
-                    ),
-                }
-                ctls[w].send_obj(("init", init), self._handshake_timeout)
-            addresses: dict[tuple[str, int], str] = {}
-            for w in range(k):
-                msg = ctls[w].recv_obj(self._handshake_timeout)
-                if msg[0] == "done" and msg[1][2] == "init_error":
-                    raise msg[1][6]
-                if msg[0] != "bound":
-                    raise FrameError(f"expected bound from worker {w}, got {msg[0]!r}")
-                addresses.update(msg[2])
-            for w in range(k):
-                ctls[w].send_obj(("addresses", addresses), self._handshake_timeout)
-            for w in range(k):
-                threading.Thread(
-                    target=self._reader,
-                    args=(w, ctls[w], registry),
-                    name=f"pipe-sock-reader-{gen}-{w}",
-                    daemon=True,
-                ).start()
-            self._await_ready(k)
-            self._publish_window()
         finally:
             listener.close()
+        for w in workers:
+            listen, dial = _runtime._edge_roles(self._cross, w)
+            init = self._worker_init(
+                w,
+                stage_shapes=self._slice_shapes(w),
+                listen={key: self._address(f"c{tag}_{key[0]}{key[1]}") for key in listen},
+                dial=dial,
+            )
+            self._ctls[w].send_obj(("init", init), self._handshake_timeout)
+
+    def _recv_bound(self, w: int, timeout: float) -> dict:
+        """Worker ``w``'s freshly bound listener addresses, read straight off
+        its control connection (no reader thread owns it yet)."""
+        msg = self._ctls[w].recv_obj(timeout)
+        if msg[0] == "done" and msg[1].kind == "init_error":
+            raise msg[1].payload
+        if msg[0] != "bound":
+            raise FrameError(f"expected bound from worker {w}, got {msg[0]!r}")
+        return msg[2]
+
+    def _start_reader(self, w: int, tag: str) -> None:
+        threading.Thread(
+            target=self._reader,
+            args=(w, self._ctls[w], self.registry),
+            name=f"pipe-sock-reader-{tag}-{w}",
+            daemon=True,
+        ).start()
 
     def _reader(self, w: int, conn: Transport, registry: WorkerRegistry) -> None:
         """Drain worker ``w``'s control connection for the lifetime of one
@@ -1311,7 +1176,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 continue
             if msg[0] == "done":
                 report = msg[1]
-                if report[2] in ("ok", "error", "deadlock"):
+                if report.kind in ("ok", "error", "deadlock"):
                     try:
                         registry.transition(w, TaskState.READY)
                     except RuntimeError:
@@ -1321,70 +1186,50 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             registry.mark_lost(w, f"worker {w} spoke garbage ({msg[0]!r})")
             return
 
-    def _await_ready(self, k: int) -> None:
-        ready = 0
-        deadline = time.monotonic() + self._handshake_timeout
-        while ready < k:
-            try:
-                w, _, kind, _, _, _, payload = self._done.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._peer_failure()
-                if dead is not None:
-                    raise WorkerLostError(
-                        f"socket worker failed to start: {dead}"
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        "socket workers did not come up in time"
-                    ) from None
-                continue
-            if kind == "init_error":
-                raise payload
-            if kind == "ready":
-                self.registry.transition(w, TaskState.READY)
-                ready += 1
-
     # -- failure detection -----------------------------------------------------
-    def _proc_failure(self) -> str | None:
+    def _peer_failure(self) -> str | None:
         # _teardown_workers empties the list, so it always holds exactly the
         # current generation's processes, in worker order.
         for w, proc in enumerate(self._procs):
-            if not proc.is_alive() and proc.exitcode != 0:
-                self.registry.mark_lost(
-                    w, f"worker process {proc.name} died with exit code "
-                    f"{proc.exitcode}"
-                )
+            if proc is None or proc.is_alive() or proc.exitcode == 0:
+                continue
+            reason = f"worker process {proc.name} died with exit code {proc.exitcode}"
+            if self.registry[w].state is TaskState.REPLACING:
+                # The registry leaves a slot under replacement to the
+                # driver thread running its handshake, which is here.
+                self._lost_worker = w
+                return f"replacement for pipeline worker {w} was lost: {reason}"
+            self.registry.mark_lost(w, reason)
         rec = self.registry.first_lost()
         if rec is None:
             return None
         self._lost_worker = rec.worker
         return f"pipeline worker {rec.worker} was lost: {rec.reason}"
 
-    def _peer_failure(self) -> str | None:
-        return self._proc_failure()
-
     def _peer_error(self, dead: str) -> BaseException:
         return WorkerLostError(dead, worker=self._lost_worker)
 
+    def _get_routed(self, q: queue.SimpleQueue, deadline: float, what: str):
+        """Next reply a reader thread routed to ``q``, failing fast on a lost
+        worker and with a typed timeout once ``deadline`` passes."""
+        while True:
+            try:
+                return q.get(timeout=0.2)
+            except queue.Empty:
+                dead = self._peer_failure()
+                if dead is not None:
+                    raise WorkerLostError(dead, worker=self._lost_worker) from None
+                if time.monotonic() > deadline:
+                    raise TransportTimeout(what) from None
+
     # -- scheduler surface -----------------------------------------------------
     def issue(self, t, sync, ext, ys, scales, num_microbatches) -> int:
-        k = self.num_workers
         self._seq += 1
         self._issued.append(self._seq)
         for w, conn in enumerate(self._ctls):
             try:
                 conn.send_obj(
-                    (
-                        "step",
-                        (
-                            self._seq,
-                            t,
-                            sync,
-                            scales,
-                            {i: ext[i] for i in self._ext_needs[w]},
-                            ys if w == k - 1 else None,
-                        ),
-                    ),
+                    ("step", self._command(w, t, sync, ext, ys, scales)),
                     self._send_timeout,
                 )
             except TransportError as exc:
@@ -1404,9 +1249,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 pass  # already LOST or still RUNNING a buffered prior step
         return self._seq
 
-    def collect(self):
-        k = self.num_workers
-        seq = self._issued.popleft()
+    def _collect(self, seq: int):
         if seq <= self._dead_before:
             raise WorkerLostError(
                 f"step {seq} was in flight when a worker was lost; its "
@@ -1415,7 +1258,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 worker=self._lost_worker,
             )
         try:
-            busys, xfers, stalls, extras = self._collect(seq)
+            return super()._collect(seq)
         except (WorkerLostError, TransportClosed) as exc:
             err = (
                 exc
@@ -1424,28 +1267,15 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             )
             self._handle_loss()
             raise err from exc
-        losses, _, _, _ = extras[k - 1]
-        for w in sorted(extras):
-            _, pstate, grads, _ = extras[w]
-            if pstate is not None:
-                self.driver_workers[w].load_persistent_state(pstate)
-            # Each worker owns disjoint (stage, position) coordinates, so
-            # the fold order cannot matter; sorted for determinism anyway.
-            for s, positions, arrays in grads:
+
+    def _fold_grads(self, seq: int, payloads: dict[int, tuple]) -> None:
+        # Each worker owns disjoint (stage, position) coordinates, so the
+        # fold order cannot matter; sorted for determinism anyway.
+        for w in sorted(payloads):
+            for s, positions, arrays in payloads[w][2]:
                 params = self.stages[s].params
                 for pos, arr in zip(positions, arrays):
                     params[pos].grad[...] = arr
-        lanes = [unpack_lanes(extras[w][3]) for w in range(k)]
-        blocks = sum(len(lane) for lane in lanes)
-        return _runtime._StepResult(
-            losses=list(losses),
-            busy=busys,
-            transport=xfers,
-            stall=stalls,
-            commands=blocks,
-            reports=blocks,
-            lanes=lanes,
-        )
 
     def await_losses(self, seq: int):
         if seq <= self._dead_before:
@@ -1474,7 +1304,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         self._send_weights(K_RESET, lambda w: b"")
         self._publish_window()
         v = self.plan.store.latest_version
-        for w, (conn, compute) in enumerate(zip(self._ctls, self.driver_workers)):
+        for w, (conn, compute) in enumerate(zip(self._ctls, self.graph.workers)):
             try:
                 conn.send_obj(("resync", v), self._send_timeout)
                 if compute.has_persistent_state():
@@ -1627,17 +1457,13 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         Any failure raises; the caller falls back to a generation respawn
         (or wedges)."""
         registry = self.registry
-        old_ctl, old_wconn = self._ctls[w], self._weight_conns[w]
+        old = (self._ctls[w], self._weight_conns[w])
         self._ctls[w] = None
         self._weight_conns[w] = None
-        for conn in (old_ctl, old_wconn):
+        for conn in old:
             if conn is not None:
                 conn.close()
-        old_proc = self._procs[w]
-        old_proc.join(timeout=2.0)
-        if old_proc.is_alive():
-            old_proc.terminate()
-            old_proc.join(timeout=2.0)
+        _runtime._reap([self._procs[w]])
         registry.transition(w, TaskState.REPLACING)
         for q in (self._rewire_q, self._fence_q):
             while True:  # residue from an earlier failed attempt
@@ -1646,105 +1472,23 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 except queue.Empty:
                     break
         self._rewires += 1
-        r = self._rewires
-        opts = {
-            "connect_timeout": self._connect_timeout,
-            "handshake_timeout": self._handshake_timeout,
-            "heartbeat_interval": self._heartbeat_interval,
-            "deadlock_timeout": self.deadlock_timeout,
-        }
-        ctx = multiprocessing.get_context(
-            self._start_method or _runtime._default_start_method()
-        )
-        bootstrap = Listener(self._address(f"ctl_r{r}"), backlog=2)
-        try:
-            proc = ctx.Process(
-                target=_socket_worker_main,
-                args=(w, bootstrap.address, opts),
-                name=f"pipe-sock-r{r}-{w}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs[w] = proc
-            deadline = time.monotonic() + self._handshake_timeout
-            pending = 2
-            while pending:
-                try:
-                    conn = bootstrap.accept(0.2)
-                except TransportTimeout:
-                    if not proc.is_alive() and proc.exitcode != 0:
-                        raise WorkerLostError(
-                            f"replacement for worker {w} died on startup "
-                            f"(exit code {proc.exitcode})",
-                            worker=w,
-                        ) from None
-                    if time.monotonic() > deadline:
-                        raise TransportTimeout(
-                            f"replacement for worker {w} did not dial back "
-                            f"within {self._handshake_timeout:g}s"
-                        ) from None
-                    continue
-                try:
-                    tag, ww = conn.recv_obj(self._handshake_timeout)
-                    if tag == "hello" and ww == w:
-                        self._ctls[w] = conn
-                    elif tag == "weights" and ww == w:
-                        self._weight_conns[w] = conn
-                    else:
-                        raise FrameError(
-                            f"unexpected handshake frame {tag!r} from "
-                            f"replacement worker {ww}"
-                        )
-                except BaseException:
-                    conn.close()
-                    raise
-                pending -= 1
-        finally:
-            bootstrap.close()
-
-        k = self.num_workers
-        ctl = self._ctls[w]
-        listen, dial = _channel_keys(self._cross, w)
-        init = {
-            "k": k,
-            "num_microbatches": self._num_microbatches,
-            "stage_shapes": self._slice_shapes(w),
-            "stage_names": [list(s.names) for s in self.stages],
-            "edges": self._edges,
-            "resolver_spec": self.plan.resolver_spec(),
-            "model_wire": self._model_wire,
-            "granularity": self._granularity,
-            "max_workers": self._max_workers,
-            "fuse_waves": self.fuse_waves,
-            "loss_pickle": self._loss_pickle if w == k - 1 else b"",
-            "listen": {
-                key: self._address(f"cr{r}_{key[0]}{key[1]}") for key in listen
-            },
-            "dial": dial,
-            "pstate": (
-                self.driver_workers[w].persistent_state()
-                if self.driver_workers[w].has_persistent_state()
-                else None
-            ),
-        }
-        ctl.send_obj(("init", init), self._handshake_timeout)
+        tag = f"r{self._rewires}"
+        self._dial_back([w], tag)
 
         # Survivor rewires: each neighbor's spec covers exactly the channel
         # keys on edges it shares with w (every such key has one listener —
         # the receiver — so one fresh-address namespace covers the lot).
         adjacent = [(i, s, d) for (i, s, d) in self._cross if w in (s, d)]
         neighbors: dict[int, dict] = {}
-        for u in range(k):
-            if u == w:
-                continue
-            mine = [(i, s, d) for (i, s, d) in adjacent if u in (s, d)]
+        for u in range(self.num_workers):
+            mine = [(i, s, d) for (i, s, d) in adjacent if u != w and u in (s, d)]
             if not mine:
                 continue
-            u_listen, u_dial = _channel_keys(mine, u)
+            u_listen, u_dial = _runtime._edge_roles(mine, u)
             neighbors[u] = {
                 "close": sorted(u_listen + u_dial),
                 "listen": {
-                    key: self._address(f"cr{r}_{key[0]}{key[1]}")
+                    key: self._address(f"c{tag}_{key[0]}{key[1]}")
                     for key in u_listen
                 },
                 "dial": u_dial,
@@ -1756,72 +1500,20 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         # reader thread yet); survivors' are routed via _rewire_q — and a
         # survivor blocked mid-aborted-step only answers after that step's
         # deadline, so the wait window covers step deadline + handshake.
-        addresses: dict[tuple[str, int], str] = {}
-        msg = ctl.recv_obj(
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        if msg[0] == "done" and msg[1][2] == "init_error":
-            raise msg[1][6]
-        if msg[0] != "bound":
-            raise FrameError(
-                f"expected bound from replacement worker {w}, got {msg[0]!r}"
+        window = self.deadlock_timeout + self.done_grace + self._handshake_timeout
+        addresses = dict(self._recv_bound(w, window))
+        deadline = time.monotonic() + window
+        for _ in neighbors:
+            msg = self._get_routed(
+                self._rewire_q, deadline,
+                "survivors did not rebind their channels in time",
             )
-        addresses.update(msg[2])
-        deadline = time.monotonic() + (
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        got = 0
-        while got < len(neighbors):
-            try:
-                msg = self._rewire_q.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if not self._procs[w].is_alive() and self._procs[w].exitcode != 0:
-                    raise WorkerLostError(
-                        f"replacement for worker {w} died mid-handshake "
-                        f"(exit code {self._procs[w].exitcode})",
-                        worker=w,
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        "survivors did not rebind their channels in time"
-                    ) from None
-                continue
             addresses.update(msg[2])
-            got += 1
-
-        ctl.send_obj(("addresses", addresses), self._handshake_timeout)
+        self._ctls[w].send_obj(("addresses", addresses), self._handshake_timeout)
         for u in neighbors:
             self._ctls[u].send_obj(("rewire_addresses", addresses), self._send_timeout)
-
-        threading.Thread(
-            target=self._reader,
-            args=(w, ctl, registry),
-            name=f"pipe-sock-reader-r{r}-{w}",
-            daemon=True,
-        ).start()
-        deadline = time.monotonic() + (
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        while True:
-            try:
-                ww, _, kind, _, _, _, payload = self._done.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        f"replacement for worker {w} never reported ready"
-                    ) from None
-                continue
-            if kind == "init_error":
-                raise payload
-            if kind == "ready" and ww == w:
-                break
-            # anything else is residue from the aborted step — discard
+        self._start_reader(w, tag)
+        self._await_ready([w], window)
 
         # The fresh mirror starts empty; survivors keep their windows, so
         # publish resolvable versions to the replacement alone.  Reseed
@@ -1830,13 +1522,13 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         # exact trajectory, matching generation-respawn semantics.
         self._publish_window(workers=(w,))
         for u in neighbors:
-            compute = self.driver_workers[u]
+            compute = self.graph.workers[u]
             if compute.has_persistent_state():
                 self._ctls[u].send_obj(
                     ("pstate", compute.persistent_state()), self._send_timeout
                 )
         registry.transition(w, TaskState.READY)
-        self._await_quiesce(r)
+        self._await_quiesce(self._rewires)
 
     def _await_quiesce(self, token: int) -> None:
         """Fence every worker's serve loop before the caller may retry.
@@ -1864,18 +1556,10 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             + self._handshake_timeout
         )
         while waiting:
-            try:
-                _, ww, tok = self._fence_q.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        f"workers {sorted(waiting)} did not quiesce after a "
-                        f"replacement"
-                    ) from None
-                continue
+            _, ww, tok = self._get_routed(
+                self._fence_q, deadline,
+                f"workers {sorted(waiting)} did not quiesce after a replacement",
+            )
             if tok == token:
                 waiting.discard(ww)
         self._drain_residue()
@@ -1893,13 +1577,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 conn.close()
         self._ctls = []
         self._weight_conns = []
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
+        _runtime._reap(self._procs)
         self._procs = []
 
     def close(self) -> None:
@@ -1915,4 +1593,3 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             except OSError:
                 pass
             self._dir = None
-

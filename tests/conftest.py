@@ -13,6 +13,13 @@ does touch the legacy API cannot leak between tests.
 Explicit model-init seeds inside tests (``np.random.default_rng(7)``) are
 fine: they are self-contained, not shared state.
 
+Teardown check
+--------------
+The concurrent-runtime suites use the ``no_leaks`` fixture: after each test
+no child process may be alive, no ``/dev/shm`` entry may be new, no
+``pipe-*`` worker or reader thread may outlive a bounded 2 s wait, and no
+``pmnet-*`` socket directory may be new in the temp dir.
+
 Timeouts
 --------
 ``@pytest.mark.timeout(seconds)`` is honored even without the
@@ -23,8 +30,12 @@ queue hang CI forever.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
+import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -114,3 +125,36 @@ def _enforce_timeout_marker(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
+
+
+def _shm_entries() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:
+        return set()
+
+
+def _pmnet_dirs() -> set[str]:
+    return {n for n in os.listdir(tempfile.gettempdir()) if n.startswith("pmnet-")}
+
+
+@pytest.fixture
+def no_leaks():
+    """Teardown check for the runtime suites: whatever path the test took
+    (clean run, worker error, deadlock, kill), the runtime must leave no
+    child process, shared-memory segment, ``pipe-*`` thread or socket
+    directory behind."""
+    shm, pmnet = _shm_entries(), _pmnet_dirs()
+    yield
+    assert not multiprocessing.active_children(), (
+        f"child processes left alive: {multiprocessing.active_children()}"
+    )
+    deadline = time.monotonic() + 2.0
+    while True:
+        threads = [t.name for t in threading.enumerate() if t.name.startswith("pipe-")]
+        if not threads or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not threads, f"pipe threads still alive after 2 s: {threads}"
+    assert not _shm_entries() - shm, f"new /dev/shm entries: {_shm_entries() - shm}"
+    assert not _pmnet_dirs() - pmnet, f"new socket dirs: {_pmnet_dirs() - pmnet}"

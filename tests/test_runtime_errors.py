@@ -1,4 +1,5 @@
-"""Error-path regressions for the concurrent runtime (thread backend).
+"""Error-path regressions for the concurrent runtime (thread backend; the
+worker-exception path runs on the thread, process and socket backends).
 
 Covers the bugfixes shipped with the process-backend PR:
 
@@ -34,6 +35,8 @@ from repro.pipeline import (
 from repro.pipeline.executor import param_groups_from_stages
 from repro.pipeline.waveprogram import WaveBlock, WaveProgram
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 
 def toy_data(rng, n=96):
     centers = rng.normal(size=(3, 6)) * 2
@@ -64,6 +67,15 @@ def starved_programs(rt):
     }
 
 
+def assert_latest_weights_live(rt):
+    for s, stage in enumerate(rt.stages):
+        for p, stored in zip(stage.params, rt.store.weights(s, rt.store.latest_version)):
+            assert p.data is stored, (
+                f"stage {s}: Parameter.data aliases a historical version "
+                "after a worker error"
+            )
+
+
 def assert_stats_untouched(rt):
     assert rt.stats.steps == 0
     assert rt.stats.total_wall == 0.0
@@ -73,41 +85,40 @@ def assert_stats_untouched(rt):
 
 
 class TestWorkerExceptionPath:
-    @pytest.mark.timeout(60)
-    def test_exception_restores_latest_weights(self, rng):
-        """Regression: after a caught worker error every parameter must
-        point at the latest stored version, not a delayed one."""
-        x, y = toy_data(rng)
-        m, rt = build(AsyncPipelineRuntime, deadlock_timeout=5.0)
-        with rt:
-            rt.train_step(x[:16], y[:16])
-            with pytest.raises(Exception):
-                rt.train_step(x[:16, :4], y[:16])  # wrong feature dim
-            for s, stage in enumerate(rt.stages):
-                for p, stored in zip(
-                    stage.params, rt.store.weights(s, rt.store.latest_version)
-                ):
-                    assert p.data is stored, (
-                        f"stage {s}: Parameter.data aliases a historical "
-                        "version after a worker exception"
-                    )
-
-    @pytest.mark.timeout(60)
-    def test_exception_commits_no_stats_and_runtime_stays_usable(self, rng):
-        """An aborted step contributes neither busy nor wall time, and the
-        runtime continues bit-identical to the simulator afterwards."""
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize(
+        "backend", ["thread", "process", pytest.param("socket", marks=pytest.mark.net)]
+    )
+    def test_exception_restores_latest_weights_and_stays_usable(self, rng, backend):
+        """A worker exception mid-step surfaces as the worker's own
+        ``ValueError`` on every backend, both as the very first step and
+        with a completed step still in flight.  Afterwards every parameter
+        points at the latest stored version, not a delayed one (regression:
+        the error used to leave ``Parameter.data`` aliased to a historical
+        version).  Aborted steps commit no stats, and the runtime continues
+        bit-identical to the simulator."""
         x, y = toy_data(rng)
         m1, ex = build(PipelineExecutor)
-        m2, rt = build(AsyncPipelineRuntime, deadlock_timeout=5.0)
+        m2, rt = build(AsyncPipelineRuntime, backend=backend, deadlock_timeout=5.0)
         with rt:
-            with pytest.raises(Exception):
-                rt.train_step(x[:16, :4], y[:16])
+            with pytest.raises(ValueError, match="expected trailing dim 6"):
+                rt.train_step(x[:16, :4], y[:16])  # wrong feature dim
             assert_stats_untouched(rt)
-            for i in range(3):
+            assert_latest_weights_live(rt)
+            assert ex.train_step(x[:16], y[:16]) == rt.train_step(x[:16], y[:16])
+            with pytest.raises(ValueError, match="expected trailing dim 6"):
+                rt.train_step(x[:16, :4], y[:16])
+            assert_latest_weights_live(rt)
+            # Only the completed step is in the stats: the aborted one
+            # added neither busy nor wall time.
+            assert rt.stats.steps == 1
+            assert rt.stats.total_wall == rt.stats.last_wall > 0.0
+            assert rt.stats.total_busy == rt.stats.last_busy
+            for i in range(1, 4):
                 b = slice(i * 16, (i + 1) * 16)
                 assert ex.train_step(x[b], y[b]) == rt.train_step(x[b], y[b])
             rt.sync()  # drain in-flight steps so every wall clock is committed
-            assert rt.stats.steps == 3
+            assert rt.stats.steps == 4
             for p1, p2 in zip(m1.parameters(), m2.parameters()):
                 np.testing.assert_array_equal(p1.data, p2.data)
 

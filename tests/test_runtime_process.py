@@ -31,6 +31,8 @@ from repro.pipeline import (
 )
 from repro.pipeline.executor import param_groups_from_stages
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 TIMEOUT = 15.0  # deadlock timeout for every runtime in this file
 
 
@@ -302,18 +304,23 @@ class TestSpecConstruction:
             assert_equivalent(m1, ex, m2, rt, x, y, steps=3)
 
     @pytest.mark.timeout(120)
-    def test_mismatched_spec_rejected_at_construction(self, rng):
+    @pytest.mark.parametrize(
+        "backend", ["process", pytest.param("socket", marks=pytest.mark.net)]
+    )
+    def test_mismatched_spec_rejected_at_construction(self, rng, backend):
         """A spec that rebuilds a different partition than the driver's must
-        fail loudly at startup, not train silently wrong."""
+        fail loudly at startup, not train silently wrong — on both backends
+        whose workers rebuild the model from its spec."""
         spec = ModelSpec(
             "repro.models.mlp:MLP",
             args=([6, 8, 3], np.random.default_rng(7)),  # wrong architecture
             num_stages=2,
         )
-        with pytest.raises(Exception, match="partition|names|differ"):
-            build_process_backend(
-                "pipemare", num_stages=2, num_microbatches=2,
-                dims=(6, 8, 8, 3), model_spec=spec,
+        with pytest.raises(ValueError, match="model spec rebuilt a different partition"):
+            build_mlp_backend(
+                AsyncPipelineRuntime, "pipemare", num_stages=2, num_microbatches=2,
+                dims=(6, 8, 8, 3), model_spec=spec, backend=backend,
+                deadlock_timeout=TIMEOUT,
             )
 
 
@@ -382,29 +389,6 @@ class TestRuntimeContract:
 
 
 class TestErrorPaths:
-    @pytest.mark.timeout(120)
-    def test_worker_exception_restores_latest_weights_and_stays_usable(self, rng):
-        """A worker exception mid-step must leave the driver's parameters on
-        the latest version, commit no stats, and keep the runtime usable —
-        the next good step still matches the simulator bit for bit."""
-        x, y = toy_classification(rng)
-        m1, ex = build_mlp_backend(PipelineExecutor, "pipemare", num_stages=4, num_microbatches=2)
-        m2, rt = build_process_backend("pipemare", num_stages=4, num_microbatches=2)
-        with rt:
-            assert ex.train_step(x[:16], y[:16]) == rt.train_step(x[:16], y[:16])
-            with pytest.raises(Exception):
-                rt.train_step(x[:16, :4], y[:16])  # wrong feature dim
-            for s, stage in enumerate(rt.stages):
-                for p, stored in zip(
-                    stage.params, rt.store.weights(s, rt.store.latest_version)
-                ):
-                    assert p.data is stored, "error left delayed weights live"
-            assert rt.stats.steps == 1, "aborted step must not commit stats"
-            assert ex.train_step(x[16:32], y[16:32]) == rt.train_step(x[16:32], y[16:32])
-            rt.sync()
-            for p1, p2 in zip(m1.parameters(), m2.parameters()):
-                np.testing.assert_array_equal(p1.data, p2.data)
-
     @pytest.mark.timeout(120)
     def test_killed_worker_wedges_and_close_joins(self, rng):
         """A worker killed between steps surfaces as PipelineDeadlockError,

@@ -39,7 +39,7 @@ from repro.pipeline.net import (
     encode_arrays,
 )
 
-pytestmark = pytest.mark.net
+pytestmark = [pytest.mark.net, pytest.mark.usefixtures("no_leaks")]
 
 TIMEOUT = 15.0  # deadlock timeout for every runtime in this file
 
